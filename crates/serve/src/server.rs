@@ -225,6 +225,52 @@ struct Counters {
     memo_hits: u64,
     worker_panics: u64,
     worker_restarts: u64,
+    hit_rate_timeline: HitRateTimeline,
+}
+
+impl Counters {
+    /// Count one admission as a session hit or miss.
+    fn admit(&mut self, session_hit: bool) {
+        if session_hit {
+            self.session_hits += 1;
+        } else {
+            self.session_misses += 1;
+        }
+        self.hit_rate_timeline
+            .record(self.session_hits, self.session_hits + self.session_misses);
+    }
+}
+
+/// The admission count of the first hit-rate checkpoint.
+const FIRST_CHECKPOINT: u64 = 16;
+
+/// The cumulative session-hit rate at fixed admission counts — 16, 24,
+/// 36, 54, … (each 1.5× the last), so a long-lived server keeps a short
+/// timeline spanning its whole run (see
+/// [`PlacementServer::hit_rate_timeline`]).  Recorded under the state lock
+/// as each admission is counted, so its points depend only on the
+/// admission order, never on when anyone looks.
+struct HitRateTimeline {
+    next: u64,
+    points: Vec<f64>,
+}
+
+impl Default for HitRateTimeline {
+    fn default() -> Self {
+        HitRateTimeline {
+            next: FIRST_CHECKPOINT,
+            points: Vec::new(),
+        }
+    }
+}
+
+impl HitRateTimeline {
+    fn record(&mut self, hits: u64, admissions: u64) {
+        if admissions == self.next {
+            self.points.push(hits as f64 / admissions as f64);
+            self.next += self.next / 2;
+        }
+    }
 }
 
 /// The senders of a batch a worker is currently solving, kept so the
@@ -580,6 +626,18 @@ impl PlacementServer {
         }
     }
 
+    /// The cumulative session-hit rate after 16, 24, 36, 54, … admissions
+    /// (each checkpoint 1.5× the last).  Points are taken as admissions
+    /// are counted, so for a given admission order the timeline is fixed.
+    pub fn hit_rate_timeline(&self) -> Vec<f64> {
+        self.shared
+            .lock_state()
+            .counters
+            .hit_rate_timeline
+            .points
+            .clone()
+    }
+
     /// Structural consistency check of the session cache under the server
     /// lock.  The chaos harness calls this after a fault-heavy soak to
     /// assert the cache stayed coherent through quarantines, forced
@@ -677,11 +735,7 @@ impl PlacementServer {
         };
         let (id, session_hit) = st.cache.lookup_or_insert(key, &program);
         st.cache.pin(id);
-        if session_hit {
-            st.counters.session_hits += 1;
-        } else {
-            st.counters.session_misses += 1;
-        }
+        st.counters.admit(session_hit);
         let now = Instant::now();
         let deadline = req
             .deadline

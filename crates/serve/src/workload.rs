@@ -14,7 +14,6 @@
 //! renders the numbers as the `BENCH_serve.json` document.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -265,8 +264,8 @@ pub struct StressReport {
     pub memo_hit_rate: f64,
     /// Fraction of responses degraded (heuristic + timeout).
     pub degradation_rate: f64,
-    /// Cumulative session-hit-rate timeline sampled once per second
-    /// (soak mode) or per 25% of progress; used by the soak test's
+    /// Cumulative session-hit-rate timeline at fixed admission counts
+    /// ([`PlacementServer::hit_rate_timeline`]); used by the soak test's
     /// monotonicity assertion.
     pub hit_rate_timeline: Vec<f64>,
     /// The server's final counters.
@@ -434,17 +433,14 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
     let samples: Mutex<Vec<Sample>> = Mutex::new(Vec::new());
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let timeline: Mutex<Vec<f64>> = Mutex::new(Vec::new());
 
     let started = Instant::now();
-    let finished = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for client in 0..cfg.clients {
             let server = &server;
             let latencies = &latencies;
             let samples = &samples;
             let errors = &errors;
-            let finished = &finished;
             scope.spawn(move || {
                 let mut rng = cfg.seed ^ (client as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut local_latency = Vec::new();
@@ -514,31 +510,11 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
                     .lock()
                     .expect("stress sample lock")
                     .extend(local_samples);
-                finished.fetch_add(1, Ordering::SeqCst);
             });
-        }
-        // The main thread samples the cumulative session-hit-rate timeline
-        // while the clients run.
-        let tick = cfg
-            .duration
-            .map(|d| d / 8)
-            .unwrap_or_else(|| Duration::from_millis(300));
-        loop {
-            std::thread::sleep(tick.min(Duration::from_secs(1)));
-            let stats = server.stats();
-            let admissions = stats.session_hits + stats.session_misses;
-            if admissions > 0 {
-                timeline
-                    .lock()
-                    .expect("stress timeline lock")
-                    .push(stats.session_hits as f64 / admissions as f64);
-            }
-            if finished.load(Ordering::SeqCst) == cfg.clients {
-                break;
-            }
         }
     });
     let wall_s = started.elapsed().as_secs_f64();
+    let hit_rate_timeline = server.hit_rate_timeline();
 
     // Cache coherence after quarantines / forced evictions, checked while
     // the server is still alive.
@@ -712,7 +688,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         } else {
             0.0
         },
-        hit_rate_timeline: timeline.into_inner().expect("stress timeline lock"),
+        hit_rate_timeline,
         server: stats,
         equivalence_checked: samples.len(),
         equivalence_failures,

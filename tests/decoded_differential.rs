@@ -1,30 +1,36 @@
-//! Differential test for the optimized execution engines at workspace
-//! level: for every BEEBS kernel — plain and placement-optimized — every
-//! engine behind [`Board::run_with_engine`] (decoded, threaded dispatch,
-//! tiered superblock) must be observably indistinguishable, bit-for-bit,
-//! from the IR-walking reference interpreter.
+//! Differential test for the decoded execution engine at workspace level:
+//! for every BEEBS kernel — plain and placement-optimized — the decoded
+//! engine behind [`Board::run`] must be observably indistinguishable,
+//! bit-for-bit, from the IR-walking reference interpreter.
 //!
 //! This is the guarantee that lets every harness in `flashram-bench` (and
-//! every downstream experiment) run on the fast engines by default: the
+//! every downstream experiment) run on the decoded engine by default: the
 //! numbers they print are exactly the numbers the reference semantics
 //! produce.
 
 use flashram_beebs::Benchmark;
 use flashram_core::RamOptimizer;
-use flashram_mcu::{Board, Engine, RunConfig, RunError, RunResult};
+use flashram_mcu::{Board, RunConfig, RunError, RunResult};
 use flashram_minicc::OptLevel;
 
-/// The engines under test — everything except the reference itself.
-const FAST_ENGINES: [Engine; 3] = [Engine::Decoded, Engine::Threaded, Engine::Superblock];
-
-fn assert_bit_identical(engine: &RunResult, reference: &RunResult, what: &str) {
-    assert!(
-        engine.bits_eq(reference),
-        "{what}: results diverge\nengine: {engine:?}\nreference: {reference:?}"
-    );
+/// Assert a decoded-engine outcome matches the reference interpreter's
+/// bitwise, results and errors alike.
+fn assert_same(
+    decoded: &Result<RunResult, RunError>,
+    reference: &Result<RunResult, RunError>,
+    what: &str,
+) {
+    match (decoded, reference) {
+        (Ok(a), Ok(b)) => assert!(
+            a.bits_eq(b),
+            "{what}: results diverge\ndecoded: {a:?}\nreference: {b:?}"
+        ),
+        (Err(a), Err(b)) => assert_eq!(a, b, "{what}: errors diverge"),
+        other => panic!("{what}: engines disagree: {other:?}"),
+    }
 }
 
-/// Run `program` under `config` on the reference and every fast engine,
+/// Run `program` under `config` on the reference and the decoded engine,
 /// asserting bitwise agreement (results and errors alike).
 fn assert_engines_match(
     board: &Board,
@@ -33,14 +39,7 @@ fn assert_engines_match(
     what: &str,
 ) {
     let reference = board.run_reference_with_config(program, config);
-    for engine in FAST_ENGINES {
-        let result = board.run_with_engine(program, config, engine);
-        match (&result, &reference) {
-            (Ok(a), Ok(b)) => assert_bit_identical(a, b, &format!("{what} [{engine}]")),
-            (Err(a), Err(b)) => assert_eq!(a, b, "{what} [{engine}]: errors diverge"),
-            other => panic!("{what} [{engine}]: engines disagree: {other:?}"),
-        }
-    }
+    assert_same(&board.run_with_config(program, config), &reference, what);
 }
 
 #[test]
@@ -84,9 +83,8 @@ fn all_engines_match_reference_on_optimized_kernels() {
     }
 }
 
-/// The engines agree on `CycleLimit { limit, executed }` under a budget
-/// that fires mid-run — including budgets that land while the superblock
-/// tier is active on a long-running kernel.
+/// The engines agree on `CycleLimit { limit, executed }` under budgets
+/// that fire anywhere in a long-running kernel.
 #[test]
 fn all_engines_match_reference_cycle_limits_on_beebs() {
     let board = Board::stm32vldiscovery();
@@ -96,9 +94,7 @@ fn all_engines_match_reference_cycle_limits_on_beebs() {
     let mut limited = 0;
     // `total - 1` is the interesting edge: the budget check fires only at
     // chunk entry, so a run whose final chunk overshoots by one cycle
-    // still completes — in every engine, identically.  The mid-range
-    // budgets land well after the hot loop tiers up, so they expire while
-    // superblocks are executing.
+    // still completes — in both engines, identically.
     for limit in [
         0,
         1,
@@ -114,86 +110,39 @@ fn all_engines_match_reference_cycle_limits_on_beebs() {
         if matches!(reference, Err(RunError::CycleLimit { .. })) {
             limited += 1;
         }
-        for engine in FAST_ENGINES {
-            let result = board.run_with_engine(&program, &config, engine);
-            match (&result, &reference) {
-                (
-                    Err(RunError::CycleLimit {
-                        limit: dl,
-                        executed: de,
-                    }),
-                    Err(RunError::CycleLimit {
-                        limit: rl,
-                        executed: re,
-                    }),
-                ) => assert_eq!(
-                    (dl, de),
-                    (rl, re),
-                    "limit {limit} [{engine}]: CycleLimit diverges"
-                ),
-                (Ok(d), Ok(r)) => assert_bit_identical(d, r, &format!("limit {limit} [{engine}]")),
-                other => panic!("limit {limit} [{engine}]: engines disagree: {other:?}"),
-            }
-        }
+        let decoded = board.run_with_config(&program, &config);
+        assert_same(&decoded, &reference, &format!("limit {limit}"));
     }
     assert!(limited >= 5, "the tight budgets must actually fire");
 }
 
 /// `BatchRunner::run_configs` decodes once and shares the decoded program
-/// across the sweep; the results must still match per-config `Board::run`
-/// calls bitwise.
+/// across the sweep; every slot must still match a per-config reference
+/// run bitwise, `CycleLimit` errors included.
 #[test]
 fn shared_decode_in_run_configs_matches_independent_runs() {
     let board = Board::stm32vldiscovery();
-    let bench = Benchmark::by_name("sha").expect("known kernel");
-    let program = bench.compile_cached(OptLevel::O2).expect("kernel compiles");
-    let total = board.run(&program).expect("full run").cycles();
-    let configs = vec![
-        RunConfig { max_cycles: 100 },
-        RunConfig::default(),
-        RunConfig {
-            max_cycles: total / 2,
-        },
-        RunConfig { max_cycles: total },
-    ];
     let runner = flashram_mcu::BatchRunner::new(board.clone());
-    let shared = runner.run_configs(&program, &configs);
-    for (config, got) in configs.iter().zip(&shared) {
-        let independent = board.run_with_config(&program, config);
-        match (got, &independent) {
-            (Ok(a), Ok(b)) => assert_bit_identical(a, b, "shared decode"),
-            (Err(a), Err(b)) => assert_eq!(a, b, "shared decode errors"),
-            other => panic!("shared vs independent diverge: {other:?}"),
-        }
-    }
-}
-
-/// `BatchRunner::run_configs_engine` shares one prepared program per
-/// engine across a sweep; every slot must match a fresh independent run on
-/// the same engine, for every engine.
-#[test]
-fn shared_prepare_in_run_configs_engine_matches_independent_runs() {
-    let board = Board::stm32vldiscovery();
-    let bench = Benchmark::by_name("dijkstra").expect("known kernel");
-    let program = bench.compile_cached(OptLevel::Os).expect("kernel compiles");
-    let total = board.run(&program).expect("full run").cycles();
-    let configs = vec![
-        RunConfig { max_cycles: 100 },
-        RunConfig {
-            max_cycles: total / 2,
-        },
-        RunConfig::default(),
-    ];
-    let runner = flashram_mcu::BatchRunner::new(board.clone());
-    for engine in Engine::ALL {
-        let shared = runner.run_configs_engine(&program, &configs, engine);
+    for (name, level) in [("sha", OptLevel::O2), ("dijkstra", OptLevel::Os)] {
+        let bench = Benchmark::by_name(name).expect("known kernel");
+        let program = bench.compile_cached(level).expect("kernel compiles");
+        let total = board.run(&program).expect("full run").cycles();
+        let configs = vec![
+            RunConfig { max_cycles: 100 },
+            RunConfig::default(),
+            RunConfig {
+                max_cycles: total / 2,
+            },
+            RunConfig { max_cycles: total },
+        ];
+        let shared = runner.run_configs(&program, &configs);
         for (config, got) in configs.iter().zip(&shared) {
-            let independent = board.run_with_engine(&program, config, engine);
-            match (got, &independent) {
-                (Ok(a), Ok(b)) => assert_bit_identical(a, b, &format!("{engine} shared")),
-                (Err(a), Err(b)) => assert_eq!(a, b, "{engine} shared errors"),
-                other => panic!("{engine}: shared vs independent diverge: {other:?}"),
-            }
+            let reference = board.run_reference_with_config(&program, config);
+            assert_same(
+                got,
+                &reference,
+                &format!("{name} {level} shared decode, {} cycles", config.max_cycles),
+            );
         }
     }
 }
