@@ -123,26 +123,54 @@ fn all_engines_match_reference_cycle_limits_on_beebs() {
 fn shared_decode_in_run_configs_matches_independent_runs() {
     let board = Board::stm32vldiscovery();
     let runner = flashram_mcu::BatchRunner::new(board.clone());
-    for (name, level) in [("sha", OptLevel::O2), ("dijkstra", OptLevel::Os)] {
-        let bench = Benchmark::by_name(name).expect("known kernel");
-        let program = bench.compile_cached(level).expect("kernel compiles");
-        let total = board.run(&program).expect("full run").cycles();
-        let configs = vec![
-            RunConfig { max_cycles: 100 },
-            RunConfig::default(),
-            RunConfig {
-                max_cycles: total / 2,
-            },
-            RunConfig { max_cycles: total },
-        ];
-        let shared = runner.run_configs(&program, &configs);
-        for (config, got) in configs.iter().zip(&shared) {
-            let reference = board.run_reference_with_config(&program, config);
-            assert_same(
-                got,
-                &reference,
-                &format!("{name} {level} shared decode, {} cycles", config.max_cycles),
-            );
-        }
+    let bench = Benchmark::by_name("sha").expect("known kernel");
+    let program = bench.compile_cached(OptLevel::O2).expect("kernel compiles");
+    let total = board.run(&program).expect("full run").cycles();
+    let configs = vec![
+        RunConfig { max_cycles: 100 },
+        RunConfig::default(),
+        RunConfig {
+            max_cycles: total / 2,
+        },
+        RunConfig { max_cycles: total },
+    ];
+    let shared = runner.run_configs(&program, &configs);
+    for (config, got) in configs.iter().zip(&shared) {
+        let reference = board.run_reference_with_config(&program, config);
+        assert_same(
+            got,
+            &reference,
+            &format!("sha O2 shared decode, {} cycles", config.max_cycles),
+        );
+    }
+}
+
+/// With several workers, `BatchRunner::run_configs` shares one prepared
+/// program across threads; every slot must match a fresh independent
+/// decoded run and the reference interpreter.
+#[test]
+fn shared_prepare_in_run_configs_engine_matches_independent_runs() {
+    let board = Board::stm32vldiscovery();
+    let bench = Benchmark::by_name("dijkstra").expect("known kernel");
+    let program = bench.compile_cached(OptLevel::Os).expect("kernel compiles");
+    let total = board.run(&program).expect("full run").cycles();
+    let configs = vec![
+        RunConfig { max_cycles: 100 },
+        RunConfig {
+            max_cycles: total / 2,
+        },
+        RunConfig::default(),
+    ];
+    let threads = std::num::NonZeroUsize::new(2).expect("non-zero");
+    let runner = flashram_mcu::BatchRunner::with_threads(board.clone(), threads);
+    let shared = runner.run_configs(&program, &configs);
+    for (config, got) in configs.iter().zip(&shared) {
+        let what = format!("dijkstra Os shared prepare, {} cycles", config.max_cycles);
+        assert_same(got, &board.run_with_config(&program, config), &what);
+        assert_same(
+            got,
+            &board.run_reference_with_config(&program, config),
+            &what,
+        );
     }
 }
