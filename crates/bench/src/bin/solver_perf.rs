@@ -2,7 +2,9 @@
 //! warm-started branch-and-bound and with cold per-node re-solves, sweep
 //! every model over a RAM-budget grid chained vs cold-per-budget, print the
 //! comparisons, and write the numbers to `BENCH_solver.json` so the
-//! solver's perf trajectory can be tracked across commits.
+//! solver's perf trajectory can be tracked across commits.  Wall times use
+//! the same method as `sim_perf`: min of five interleaved rounds, warm and
+//! cold alternating (`flashram_bench::interleaved_rounds`).
 //!
 //! Exits nonzero when a solver acceptance check fails (objective mismatch
 //! between warm and cold modes, warm-started nodes not pivoting strictly

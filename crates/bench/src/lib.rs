@@ -885,12 +885,43 @@ pub fn figure9_text(
     out
 }
 
+/// Rounds of the one timing method the perf harnesses share (see
+/// [`interleaved_rounds`]).
+pub const TIMING_ROUNDS: usize = 5;
+
+/// The timing method of every perf harness: [`TIMING_ROUNDS`] interleaved
+/// rounds, each running every one of `passes` passes once, with the pass
+/// order rotated by one each round (with two passes, the order alternates).
+/// Callers fold each cell's wall time with [`time_min`] and report the
+/// minimum.
+///
+/// A fixed order systematically penalizes whichever pass runs later (shared
+/// and quota-throttled hosts slow down under sustained load); rotating
+/// gives every pass an early slot and taking minima cancels the drift.
+pub fn interleaved_rounds(passes: usize, mut pass: impl FnMut(usize)) {
+    for round in 0..TIMING_ROUNDS {
+        for slot in 0..passes {
+            pass((round + slot) % passes);
+        }
+    }
+}
+
+/// Run `f`, lower `best_ms` to its wall time in milliseconds if it was
+/// faster, and return its result.
+pub fn time_min<R>(best_ms: &mut f64, f: impl FnOnce() -> R) -> R {
+    let start = std::time::Instant::now();
+    let result = f();
+    *best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
+    result
+}
+
 /// The numbers of one branch-and-bound run over a placement model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverRunNumbers {
     /// Search statistics of the run.
     pub stats: BranchBoundStats,
-    /// Wall-clock time of the solve in milliseconds.
+    /// Wall-clock time of the solve in milliseconds, the minimum over the
+    /// [`interleaved_rounds`].
     pub wall_ms: f64,
     /// Objective value reached.
     pub objective: f64,
@@ -941,27 +972,39 @@ impl SolverPerfRow {
     }
 }
 
-fn time_solve(
+/// Solve `model` warm-started and cold in [`interleaved_rounds`], returning
+/// `(warm, cold)`.  The searches are deterministic, so any round's solution
+/// and statistics serve; the wall times are the per-mode minima.
+fn time_solves(
     model: &PlacementModel,
-    warm_start: bool,
-) -> Result<SolverRunNumbers, flashram_ilp::SolveError> {
-    let solver = BranchBound {
+) -> Result<(SolverRunNumbers, SolverRunNumbers), flashram_ilp::SolveError> {
+    let solvers = [true, false].map(|warm_start| BranchBound {
         warm_start,
         ..BranchBound::default()
-    };
-    let start = std::time::Instant::now();
-    let (solution, stats) = model.solve_with(&solver)?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    Ok(SolverRunNumbers {
-        stats,
-        wall_ms,
-        objective: solution.objective,
-    })
+    });
+    let mut wall_ms = [f64::MAX; 2];
+    let mut solved = [None, None];
+    interleaved_rounds(2, |pass| {
+        solved[pass] = Some(time_min(&mut wall_ms[pass], || {
+            model.solve_with(&solvers[pass])
+        }));
+    });
+    let mut runs = Vec::with_capacity(2);
+    for (solved, wall_ms) in solved.into_iter().zip(wall_ms) {
+        let (solution, stats) = solved.expect("every pass ran")?;
+        runs.push(SolverRunNumbers {
+            stats,
+            wall_ms,
+            objective: solution.objective,
+        });
+    }
+    Ok((runs[0], runs[1]))
 }
 
-/// Solve every BEEBS placement model twice — warm-started and cold — and
-/// report nodes, pivots and wall time for both (the `BENCH_solver.json`
-/// trajectory series).
+/// Solve every BEEBS placement model warm-started and cold, and report
+/// nodes, pivots and wall time for both (the `BENCH_solver.json` trajectory
+/// series).  Wall times are min-of-[`TIMING_ROUNDS`] with the two modes
+/// alternating (see [`interleaved_rounds`]).
 ///
 /// Each benchmark is measured under two configurations: the default budgets
 /// (whatever RAM the board leaves spare, `X_limit` 1.5), where the
@@ -988,8 +1031,7 @@ pub fn solver_perf(board: &Board, level: OptLevel) -> (Vec<SolverPerfRow>, Vec<S
                 e_ram,
             };
             let model = PlacementModel::build(&params, &config);
-            let solved = time_solve(&model, true).and_then(|w| Ok((w, time_solve(&model, false)?)));
-            match solved {
+            match time_solves(&model) {
                 Ok((warm, cold)) => rows.push(SolverPerfRow {
                     benchmark: bench.name.to_string(),
                     r_spare,
@@ -1028,7 +1070,8 @@ pub struct SweepPerfNumbers {
     /// Points whose root relaxation was warm-started from the previous
     /// point's basis (always 0 for the cold mode).
     pub chained_roots: usize,
-    /// Wall-clock time of the whole sweep in milliseconds.
+    /// Wall-clock time of the whole sweep in milliseconds, the minimum over
+    /// the [`interleaved_rounds`].
     pub wall_ms: f64,
 }
 
@@ -1080,8 +1123,8 @@ fn sweep_grids(spare: u32) -> (Vec<u32>, Vec<f64>) {
     (budgets, x_limits)
 }
 
-/// Run one sweep twice (chained session vs cold per-point rebuilds) and
-/// fold the comparison into a [`SweepPerfRow`].
+/// Run one sweep chained on a session and cold per point, in
+/// [`interleaved_rounds`], and fold the comparison into a [`SweepPerfRow`].
 fn sweep_perf_row(
     benchmark: &str,
     axis: &'static str,
@@ -1090,15 +1133,39 @@ fn sweep_perf_row(
     points: &[(u32, f64)],
     errors: &mut Vec<String>,
 ) -> Option<SweepPerfRow> {
-    // Warm: one session, every root after the first chained.
-    let mut session = PlacementSession::from_params(params.clone(), config);
-    let start = std::time::Instant::now();
-    let warm_points: Vec<_> = points
-        .iter()
-        .map(|&(r_spare, x_limit)| session.solve_point(r_spare, x_limit))
-        .collect();
-    let warm_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let stats = session.stats();
+    // Warm: a fresh session per round (built untimed), every root after
+    // the first chained.  Cold: rebuild the model and solve from scratch at
+    // every point.  Both are deterministic, so any round's results serve.
+    let (mut warm_wall_ms, mut cold_wall_ms) = (f64::MAX, f64::MAX);
+    let (mut warm_run, mut cold_points) = (None, Vec::new());
+    interleaved_rounds(2, |pass| {
+        if pass == 0 {
+            let mut session = PlacementSession::from_params(params.clone(), config);
+            let solved = time_min(&mut warm_wall_ms, || {
+                points
+                    .iter()
+                    .map(|&(r_spare, x_limit)| session.solve_point(r_spare, x_limit))
+                    .collect::<Vec<_>>()
+            });
+            warm_run = Some((solved, session.stats()));
+        } else {
+            cold_points = time_min(&mut cold_wall_ms, || {
+                points
+                    .iter()
+                    .map(|&(r_spare, x_limit)| {
+                        let cfg = ModelConfig {
+                            r_spare,
+                            x_limit,
+                            ..config.clone()
+                        };
+                        BranchBound::new()
+                            .solve_with_stats(&PlacementModel::build(params, &cfg).problem)
+                    })
+                    .collect()
+            });
+        }
+    });
+    let (warm_points, stats) = warm_run.expect("the warm pass ran");
     let warm = SweepPerfNumbers {
         lp_pivots: stats.lp_pivots,
         root_pivots: stats.root_pivots,
@@ -1106,31 +1173,21 @@ fn sweep_perf_row(
         chained_roots: stats.chained_roots,
         wall_ms: warm_wall_ms,
     };
-
-    // Cold: rebuild the model and solve from scratch at every point.
     let mut cold = SweepPerfNumbers {
         lp_pivots: 0,
         root_pivots: 0,
         nodes: 0,
         chained_roots: 0,
-        wall_ms: 0.0,
+        wall_ms: cold_wall_ms,
     };
     let mut max_objective_delta = 0.0f64;
     let mut proven = warm_points
         .iter()
         .all(|p| p.as_ref().is_ok_and(|p| p.proven));
-    let start = std::time::Instant::now();
-    for (&(r_spare, x_limit), warm_point) in points.iter().zip(&warm_points) {
-        let cfg = ModelConfig {
-            r_spare,
-            x_limit,
-            ..config.clone()
-        };
-        let model = PlacementModel::build(params, &cfg);
-        match (
-            BranchBound::new().solve_with_stats(&model.problem),
-            warm_point,
-        ) {
+    for ((&(r_spare, x_limit), warm_point), cold_point) in
+        points.iter().zip(&warm_points).zip(&cold_points)
+    {
+        match (cold_point, warm_point) {
             (Ok((solution, stats)), Ok(point)) => {
                 cold.lp_pivots += stats.lp_pivots;
                 cold.root_pivots += stats.root_pivots;
@@ -1151,7 +1208,6 @@ fn sweep_perf_row(
             }
         }
     }
-    cold.wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     Some(SweepPerfRow {
         benchmark: benchmark.to_string(),
@@ -1254,7 +1310,8 @@ pub fn figure5_averages_text(results: &[BenchmarkResult]) -> String {
 
 /// Render the solver performance rows (per-model warm-vs-cold solves plus
 /// the budget-sweep comparison) as the `BENCH_solver.json` document
-/// (hand-rolled: the build environment has no serde).
+/// (hand-rolled: the build environment has no serde), headed by the host's
+/// core count and the number of timing rounds.
 pub fn solver_perf_json(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> String {
     fn run(r: &SolverRunNumbers) -> String {
         format!(
@@ -1280,7 +1337,10 @@ pub fn solver_perf_json(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> Strin
             r.objective,
         )
     }
-    let mut out = String::from("{\n  \"benchmarks\": [\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut out = format!(
+        "{{\n  \"cores\": {cores},\n  \"timing_rounds\": {TIMING_ROUNDS},\n  \"benchmarks\": [\n"
+    );
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             concat!(
@@ -1564,7 +1624,7 @@ impl SimPerfRow {
 /// Three timed passes over the same sweep: the IR-walking reference
 /// interpreter, the decoded engine, and the decoded engine on the
 /// [`BatchRunner`] worker pool.  Per-kernel wall times are the minimum over
-/// five interleaved rounds with a rotated pass order.
+/// the [`interleaved_rounds`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimPerfReport {
     /// Worker threads the batched run used.
@@ -1651,10 +1711,7 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
     fn time_each(cells: &mut [f64], out: &mut Vec<RunResult>, run: impl Fn(usize) -> RunResult) {
         out.clear();
         for (i, cell) in cells.iter_mut().enumerate() {
-            let start = std::time::Instant::now();
-            let result = run(i);
-            *cell = cell.min(start.elapsed().as_secs_f64() * 1e3);
-            out.push(result);
+            out.push(time_min(cell, || run(i)));
         }
     }
 
@@ -1674,41 +1731,34 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
         let _ = board.run_decoded(d, &config).expect("kernel runs");
     }
 
-    // Five interleaved rounds with a rotated pass order, keeping each
-    // (kernel, engine) cell's best wall time.  A fixed order
-    // systematically penalizes whichever pass runs later (shared and
-    // quota-throttled hosts slow down under sustained load — the source
-    // of the phantom sub-1.0 "batched slowdown" this file used to report
-    // at one thread); rotating gives every pass an early slot and taking
-    // minima cancels the drift.  Results are deterministic, so any
-    // round's outputs serve for the bit-identity comparison.
+    // Interleaved rounds (see `interleaved_rounds`), keeping each
+    // (kernel, engine) cell's best wall time; a fixed pass order is what
+    // once produced a phantom sub-1.0 "batched slowdown" at one thread.
+    // Results are deterministic, so any round's outputs serve for the
+    // bit-identity comparison.
     let runner = BatchRunner::new(board.clone());
     let n = programs.len();
     let mut reference_cells = vec![f64::MAX; n];
     let mut decoded_cells = vec![f64::MAX; n];
     let mut batched_wall_ms = f64::MAX;
     let (mut reference, mut sequential, mut batched) = (Vec::new(), Vec::new(), Vec::new());
-    for round in 0..5 {
-        for pass in 0..3 {
-            match (round + pass) % 3 {
-                0 => time_each(&mut reference_cells, &mut reference, |i| {
-                    board.run_reference(&programs[i]).expect("kernel runs")
-                }),
-                1 => time_each(&mut decoded_cells, &mut sequential, |i| {
-                    board
-                        .run_decoded(&decoded_programs[i], &config)
-                        .expect("kernel runs")
-                }),
-                _ => {
-                    let start = std::time::Instant::now();
-                    batched = runner.map(&decoded_programs, |board, d| {
-                        board.run_decoded(d, &config).expect("kernel runs")
-                    });
-                    batched_wall_ms = batched_wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
-                }
-            }
+    interleaved_rounds(3, |pass| match pass {
+        0 => time_each(&mut reference_cells, &mut reference, |i| {
+            board.run_reference(&programs[i]).expect("kernel runs")
+        }),
+        1 => time_each(&mut decoded_cells, &mut sequential, |i| {
+            board
+                .run_decoded(&decoded_programs[i], &config)
+                .expect("kernel runs")
+        }),
+        _ => {
+            batched = time_min(&mut batched_wall_ms, || {
+                runner.map(&decoded_programs, |board, d| {
+                    board.run_decoded(d, &config).expect("kernel runs")
+                })
+            })
         }
-    }
+    });
 
     let bit_identical = reference.iter().zip(&sequential).all(|(r, s)| r.bits_eq(s))
         && sequential.iter().zip(&batched).all(|(s, b)| s.bits_eq(b));

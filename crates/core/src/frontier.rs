@@ -17,11 +17,11 @@
 //!   point's solved basis via the dual simplex
 //!   ([`BranchBound::solve_chained`]) — the same 3–13× per-node pivot saving
 //!   branch-and-bound already gets from parent-to-child warm starts, applied
-//!   *across* sweep points.  The solver's search-quality machinery
-//!   (best-bound node selection, cover cuts, presolve) composes with the
-//!   chain: cuts and presolve fixings are derived per point against the
-//!   current budgets and live on a solve-local problem copy, so the chained
-//!   root state the session carries always matches the session model's row
+//!   *across* sweep points.  The solver's search (best-bound order,
+//!   pseudo-cost branching, presolve) composes with the chain: presolve
+//!   fixings and tightened rows are derived per point against the current
+//!   budgets and live on a solve-local problem copy, so the chained root
+//!   state the session carries always matches the session model's row
 //!   layout and the seeded incumbent prunes best-bound queue entries before
 //!   their LPs are ever solved;
 //! * [`PlacementSession::enumerate_frontier`] goes beyond grid sweeps and

@@ -1,52 +1,53 @@
 //! Branch-and-bound 0-1 ILP solver over the simplex relaxation.
 //!
 //! Branching fixes one fractional binary variable to 0 and to 1 in turn; the
-//! LP relaxation of each node provides the bound used for pruning.  Three
-//! search-quality mechanisms sit on top of the plain tree walk:
+//! LP relaxation of each node provides the bound used for pruning.  The
+//! search is one fixed strategy with three parts:
 //!
-//! * **Node selection** ([`NodeSelection`]): by default the open list is a
-//!   priority queue ordered by the parent's LP bound (*best-bound* search),
-//!   combined with a **plunging** dive — after branching, the child on the
-//!   rounded side is explored immediately, depth-first, so integer
-//!   incumbents appear as early as under DFS and the frontier stays small;
-//!   only the "far" children enter the queue.  Best-bound order expands the
-//!   node that could still beat the incumbent by the most, which on the
-//!   degenerate placement trees prunes far more than LIFO order does.
-//!   Nodes are re-checked against the incumbent when popped, so stale queue
-//!   entries cost nothing but their memory.
+//! * **Best-bound order with plunging**: the open list is a priority queue
+//!   ordered by the parent's LP bound, so the next node expanded is the one
+//!   that could still beat the incumbent by the most; after branching, the
+//!   child on the rounded side is explored immediately (the dive), so
+//!   integer incumbents appear as early as under depth-first search and the
+//!   frontier stays small — only the "far" children enter the queue.  Ties
+//!   break toward the newest node, which keeps degenerate plateaus
+//!   depth-first instead of breadth-first.  Nodes are re-checked against
+//!   the incumbent when popped, so stale queue entries cost nothing but
+//!   their memory.
 //! * **Pseudo-cost branching**: instead of the most-fractional rule, each
 //!   binary variable keeps a running average of how much the LP bound
 //!   degraded per unit of bound movement in each direction, seeded from the
 //!   variable's |objective coefficient| so the very first branchings already
 //!   prefer high-impact blocks.  The branching score is the product of the
 //!   estimated up- and down-degradations.
-//! * **Cover cuts and presolve** (the `cuts` module): the placement model's
-//!   budget rows are knapsacks, so before the tree starts a presolve pass
-//!   fixes trivially flash-/RAM-resident blocks and tightens coefficients,
-//!   and at the root (and optionally shallow nodes) violated lifted cover
-//!   inequalities are appended as rows.  Cuts and tightened rows go to a
-//!   **solve-local copy** of the problem — the caller's problem, its row
-//!   indices, and the pre-cut root state used for sweep chaining are never
-//!   disturbed — and states snapshotted before a cut existed are upgraded
-//!   via [`crate::SimplexSolver::resolve_appended_owned`] when expanded.
+//! * **Presolve** (the `presolve` module): the placement model's budget rows
+//!   are knapsacks, so before the tree starts a presolve pass fixes
+//!   trivially flash-/RAM-resident blocks and derives coefficient-tightened
+//!   copies of the budget rows.  If the root relaxation is fractional, the
+//!   tightened rows are appended once, to a **solve-local copy** of the
+//!   problem, and the root state is dual-repaired over them with
+//!   [`crate::SimplexSolver::resolve_appended_owned`].  The caller's
+//!   problem, its row indices, and the root state captured for sweep
+//!   chaining are never disturbed, and because rows only grow at the root,
+//!   before any child exists, every snapshot a child inherits already has
+//!   all the rows.
 //!
 //! Child relaxations are **warm-started**: a branch fixing only tightens one
 //! variable's bounds, which leaves the parent's optimal basis dual feasible,
 //! so each child is re-solved with the dual simplex from the parent's
 //! [`LpState`] instead of a cold two-phase solve.  Best-bound order expands
 //! nodes out of creation order, but the snapshots don't care: each carries
-//! its full bound state, and row growth is healed by appending the missing
-//! rows.  [`BranchBoundStats`] reports the pivot counts of every kind of
-//! solve.
+//! its full bound state.  [`BranchBoundStats`] reports the pivot counts of
+//! every kind of solve.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::basis::LpState;
-use crate::cuts::{self, PresolveResult};
-use crate::expr::{LinearExpr, Var};
+use crate::expr::Var;
+use crate::presolve;
 use crate::problem::{Cmp, Problem, Sense, Solution, SolveError};
 use crate::simplex::{SimplexOutcome, SimplexSolver};
 
@@ -67,12 +68,13 @@ pub struct BranchBoundStats {
     /// suboptimal even when the node budget was never exhausted.
     pub lp_iteration_limited: usize,
     /// Total simplex pivots across every LP solve of the run (node
-    /// relaxations and cut re-solves alike).
+    /// relaxations and the root's repair over tightened rows alike).
     pub lp_pivots: usize,
     /// Pivots the **root** relaxation alone took (a cold two-phase solve,
     /// or a dual-simplex re-entry for chained sweeps — see
-    /// [`BranchBound::solve_chained`]).  Cut-plane re-solves at the root are
-    /// *not* counted here (see [`cut_pivots`](BranchBoundStats::cut_pivots));
+    /// [`BranchBound::solve_chained`]).  The repair over presolve's
+    /// tightened rows is *not* counted here (see
+    /// [`cut_pivots`](BranchBoundStats::cut_pivots));
     /// after a chain abort and fallback, this is the pivot count of the
     /// final (cold) root only.
     pub root_pivots: usize,
@@ -89,11 +91,11 @@ pub struct BranchBoundStats {
     pub warm_solves: usize,
     /// Pivots spent in warm-started solves.
     pub warm_pivots: usize,
-    /// Pivots spent re-solving after cut rows were appended (root and
-    /// shallow-node cut loops).  `lp_pivots = warm + cold + cut` pivots.
+    /// Pivots spent dual-repairing the root after presolve's tightened rows
+    /// were appended.  `lp_pivots = warm + cold + cut` pivots.
     pub cut_pivots: usize,
-    /// Rows appended to the solve-local problem by the cut machinery:
-    /// lifted cover cuts plus tightened knapsack copies from presolve.
+    /// Rows appended to the solve-local problem: presolve's tightened
+    /// knapsack copies, added once when the root relaxation is fractional.
     pub cuts_added: usize,
     /// Variables fixed by the presolve pass before the tree started.
     pub presolve_fixed: usize,
@@ -126,25 +128,12 @@ pub struct ChainedSolve {
     pub stats: BranchBoundStats,
     /// The solved root relaxation, for chaining into the next solve
     /// (`None` only if the root LP produced no reusable state).  Captured
-    /// **before** any cut rows are appended, so its dimensions always match
+    /// **before** any tightened rows are appended, so its dimensions always match
     /// the caller's problem and survive into the next sweep point.
     pub root_state: Option<LpState>,
     /// Whether the root relaxation was warm-started from a previous chained
     /// state rather than solved cold.
     pub chained: bool,
-}
-
-/// How the open list orders nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSelection {
-    /// Priority queue on the parent LP bound: always expand the open node
-    /// whose bound leaves the most room to beat the incumbent.  Combined
-    /// with the plunging dive this is the default.
-    BestBound,
-    /// LIFO stack (classic DFS).  With the dive always taking the rounded
-    /// child first, this reproduces the pre-best-bound search order exactly;
-    /// kept for benchmarking and differential tests.
-    DepthFirst,
 }
 
 /// A 0-1 ILP solver.
@@ -154,8 +143,6 @@ pub struct BranchBound {
     pub lp: SimplexSolver,
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub tolerance: f64,
     /// Warm-start child nodes with the dual simplex from the parent basis
     /// (on by default; disable to benchmark against cold solves).
     pub warm_start: bool,
@@ -173,21 +160,6 @@ pub struct BranchBound {
     /// `max_nodes` without a cold retry).  Plain (non-chained) solves never
     /// use it.
     pub chain_fallback_nodes: usize,
-    /// Node selection strategy (default [`NodeSelection::BestBound`]).
-    pub node_selection: NodeSelection,
-    /// Separate and append lifted cover cuts from knapsack rows (default
-    /// on).
-    pub cuts: bool,
-    /// Maximum node depth at which cut separation still runs (the root is
-    /// depth 0; cuts stay global, so deeper separation only trades LP size
-    /// for bound quality).
-    pub cut_depth: usize,
-    /// Ceiling on the number of rows the cut machinery may append per solve
-    /// (cover cuts plus tightened knapsack copies).
-    pub max_cuts: usize,
-    /// Run the knapsack presolve pass (variable fixing + coefficient
-    /// tightening) before the search (default on).
-    pub presolve: bool,
     /// Wall-clock budget for one solve, checked before every node
     /// expansion.  When it expires the search stops and returns the best
     /// incumbent with [`BranchBoundStats::time_limit_hit`] set (or
@@ -203,14 +175,8 @@ impl Default for BranchBound {
         BranchBound {
             lp: SimplexSolver::default(),
             max_nodes: 20_000,
-            tolerance: 1e-6,
             warm_start: true,
             chain_fallback_nodes: 512,
-            node_selection: NodeSelection::BestBound,
-            cuts: true,
-            cut_depth: 2,
-            max_cuts: 24,
-            presolve: true,
             time_limit: None,
         }
     }
@@ -282,28 +248,6 @@ impl Ord for OpenNode {
     }
 }
 
-/// The open list: a LIFO stack or a best-bound priority queue.
-enum OpenList {
-    Dfs(Vec<Node>),
-    Best(BinaryHeap<OpenNode>),
-}
-
-impl OpenList {
-    fn push(&mut self, node: Node, key: f64, seq: u64) {
-        match self {
-            OpenList::Dfs(stack) => stack.push(node),
-            OpenList::Best(heap) => heap.push(OpenNode { key, seq, node }),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Node> {
-        match self {
-            OpenList::Dfs(stack) => stack.pop(),
-            OpenList::Best(heap) => heap.pop().map(|e| e.node),
-        }
-    }
-}
-
 /// Per-variable pseudo-costs: running `(sum, count)` of LP-bound degradation
 /// per unit of bound movement, one pair per direction, seeded from the
 /// objective coefficients.
@@ -333,8 +277,8 @@ impl PseudoCosts {
     }
 
     /// Fold an observed degradation into the branched direction's average.
-    fn record(&mut self, step: BranchStep, degradation: f64, tol: f64) {
-        let dist = if step.up { 1.0 - step.frac } else { step.frac }.max(tol);
+    fn record(&mut self, step: BranchStep, degradation: f64) {
+        let dist = if step.up { 1.0 - step.frac } else { step.frac }.max(TOLERANCE);
         let entry = if step.up {
             &mut self.up[step.var.index()]
         } else {
@@ -351,11 +295,10 @@ impl PseudoCosts {
 /// is unaffected, only the warm-start saving for those nodes.
 const WARM_STATE_MEMORY_BUDGET: usize = 64 << 20;
 
-/// Minimum violation for a cover cut to be worth appending.
-const COVER_VIOLATION_THRESHOLD: f64 = 1e-4;
-
-/// Ceiling on separate-and-resolve rounds per node.
-const MAX_CUT_ROUNDS: usize = 8;
+/// Integrality tolerance: a binary within this distance of 0 or 1 counts
+/// as integral, and a bound must beat the incumbent by this much (relative
+/// to its magnitude) to keep a node open.
+const TOLERANCE: f64 = 1e-6;
 
 /// Approximate heap footprint of one [`LpState`] snapshot.
 fn state_bytes(state: &LpState) -> usize {
@@ -382,10 +325,10 @@ fn merge_aborted_attempt(stats: &mut BranchBoundStats, aborted: &BranchBoundStat
     stats.injected |= aborted.injected;
 }
 
-fn is_integral(solution: &Solution, binaries: &[Var], tol: f64) -> bool {
+fn is_integral(solution: &Solution, binaries: &[Var]) -> bool {
     binaries.iter().all(|v| {
         let val = solution.value(*v);
-        (val - val.round()).abs() <= tol
+        (val - val.round()).abs() <= TOLERANCE
     })
 }
 
@@ -592,40 +535,18 @@ impl BranchBound {
             Sense::Minimize => -1.0,
         };
 
-        // Knapsack analysis: presolve fixings/tightenings and the rows cover
-        // separation will scan.  Everything derived here is valid only at
-        // the problem's *current* right-hand sides, which is fine — it lives
-        // and dies with this solve.
-        let knap = if self.presolve || self.cuts {
-            cuts::knapsack_rows(problem, self.tolerance)
-        } else {
-            Vec::new()
-        };
-        let pre = if self.presolve {
-            cuts::presolve(problem, &knap, self.tolerance)
-        } else {
-            PresolveResult::default()
-        };
+        // Knapsack presolve: fixings and tightened rows are valid only at
+        // the problem's *current* right-hand sides, which is fine — they
+        // live and die with this solve.
+        let knap = presolve::knapsack_rows(problem, TOLERANCE);
+        let pre = presolve::presolve(problem, &knap, TOLERANCE);
         if pre.infeasible {
             return Err(fail(stats, SolveError::Infeasible));
         }
         stats.presolve_fixed = pre.num_fixed();
-        let sep_sources: Vec<(Vec<(Var, f64)>, f64)> = if self.cuts {
-            knap.iter()
-                .map(|r| {
-                    let rhs = problem.rhs(r.row).unwrap_or(f64::INFINITY);
-                    (r.terms.clone(), rhs)
-                })
-                .chain(pre.tightened.iter().map(|(e, b)| (e.terms().collect(), *b)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut seen_cuts: BTreeSet<(Vec<usize>, usize)> = BTreeSet::new();
-        // Cuts and tightened rows are appended to this lazily created copy;
-        // the caller's problem keeps its row layout for RHS chaining.
+        // The tightened rows are appended to this lazily created copy; the
+        // caller's problem keeps its row layout for RHS chaining.
         let mut work: Option<Problem> = None;
-        let mut tightened_appended = false;
 
         // A feasible seed becomes the initial incumbent: its objective is a
         // proven bound, so the search only explores what the moved
@@ -633,7 +554,7 @@ impl BranchBound {
         // re-evaluated — RHS changes never alter it, but the seed may come
         // from an arbitrary caller.)
         let mut incumbent: Option<Solution> = seed
-            .filter(|s| problem.is_feasible(&s.values, self.tolerance))
+            .filter(|s| problem.is_feasible(&s.values, TOLERANCE))
             .map(|s| Solution {
                 values: s.values.clone(),
                 objective: problem.objective_value(&s.values),
@@ -641,10 +562,7 @@ impl BranchBound {
         stats.seeded = incumbent.is_some();
 
         let mut pc = PseudoCosts::seeded(problem);
-        let mut open = match self.node_selection {
-            NodeSelection::DepthFirst => OpenList::Dfs(Vec::new()),
-            NodeSelection::BestBound => OpenList::Best(BinaryHeap::new()),
-        };
+        let mut open: BinaryHeap<OpenNode> = BinaryHeap::new();
         let mut seq = 0u64;
         // The dive slot: the rounded-side child explored immediately after
         // its parent (plunging).  The root starts here.
@@ -660,7 +578,7 @@ impl BranchBound {
         // is shared by the two sibling entries), to bound retained memory.
         let mut retained_entries = 0usize;
 
-        while let Some(mut node) = dive.take().or_else(|| open.pop()) {
+        while let Some(mut node) = dive.take().or_else(|| open.pop().map(|e| e.node)) {
             if node.parent_state.is_some() {
                 retained_entries -= 1;
             }
@@ -669,7 +587,7 @@ impl BranchBound {
             // an LP solve.  (The root is exempt: its "bound" is a sentinel.)
             if node.depth > 0 {
                 if let Some(best) = &incumbent {
-                    let margin = self.tolerance * best.objective.abs().max(1.0);
+                    let margin = TOLERANCE * best.objective.abs().max(1.0);
                     let improves = problem.is_better(node.bound, best.objective)
                         && (node.bound - best.objective).abs() > margin;
                     if !improves {
@@ -723,17 +641,11 @@ impl BranchBound {
                         // parent's state; everything earlier is already baked
                         // in.  The sibling explored first still shares the Rc
                         // (clone); the second child is the last user and
-                        // takes the state without copying the tableau.  A
-                        // snapshot that predates newer cut rows is upgraded
-                        // by appending them before the dual repair.
+                        // takes the state without copying the tableau.
                         let last = *node.fixings.last().expect("warm node has a fixing");
                         let state = Rc::try_unwrap(state).unwrap_or_else(|rc| (*rc).clone());
                         stats.warm_solves += 1;
-                        let r = if state.num_rows() < cur.num_constraints() {
-                            self.lp.resolve_appended_owned(cur, state, &[last])
-                        } else {
-                            self.lp.resolve_owned(cur, state, &[last])
-                        };
+                        let r = self.lp.resolve_owned(cur, state, &[last]);
                         stats.warm_pivots += r.pivots;
                         r
                     }
@@ -786,70 +698,20 @@ impl BranchBound {
                     Sense::Minimize => relaxed.objective - node.bound,
                 }
                 .max(0.0);
-                pc.record(step, degradation, self.tolerance);
+                pc.record(step, degradation);
             }
 
-            // Cutting-plane loop at shallow depths: append violated lifted
-            // cover cuts (and, once, the presolve-tightened rows) to the
-            // solve-local problem and dual-repair the node state over the
-            // new rows.  Cuts are globally valid at these budgets, so they
-            // strengthen every later node too.
-            if node.depth <= self.cut_depth
-                && (self.cuts || (self.presolve && node.depth == 0))
-                && state.is_some()
-            {
-                let mut subtree_done = false;
-                for _ in 0..MAX_CUT_ROUNDS {
-                    if is_integral(&relaxed, &binaries, self.tolerance) {
-                        break;
+            // A fractional root gets presolve's tightened rows, once: append
+            // them to the solve-local problem and dual-repair the root state
+            // over the new rows.  They cut off no integer point at these
+            // budgets, so every later node inherits the tighter bound.
+            if node.depth == 0 && !pre.tightened.is_empty() && !is_integral(&relaxed, &binaries) {
+                if let Some(st) = state.take() {
+                    let w = work.insert(problem.clone());
+                    for (expr, rhs) in &pre.tightened {
+                        w.add_constraint(expr.clone(), Cmp::Le, *rhs);
                     }
-                    let append_tightened = node.depth == 0
-                        && self.presolve
-                        && !tightened_appended
-                        && !pre.tightened.is_empty();
-                    let mut fresh: Vec<(Vec<Var>, f64)> = Vec::new();
-                    if self.cuts && stats.cuts_added < self.max_cuts {
-                        let budget = self.max_cuts - stats.cuts_added;
-                        for (terms, rhs) in &sep_sources {
-                            if fresh.len() >= budget {
-                                break;
-                            }
-                            if let Some((vars, cut_rhs)) = cuts::separate_cover(
-                                terms,
-                                *rhs,
-                                &relaxed.values,
-                                COVER_VIOLATION_THRESHOLD,
-                            ) {
-                                let key = (
-                                    vars.iter().map(|v| v.index()).collect::<Vec<_>>(),
-                                    cut_rhs as usize,
-                                );
-                                if seen_cuts.insert(key) {
-                                    fresh.push((vars, cut_rhs));
-                                }
-                            }
-                        }
-                    }
-                    if !append_tightened && fresh.is_empty() {
-                        break;
-                    }
-                    let w = work.get_or_insert_with(|| problem.clone());
-                    if append_tightened {
-                        for (expr, rhs) in &pre.tightened {
-                            w.add_constraint(expr.clone(), Cmp::Le, *rhs);
-                            stats.cuts_added += 1;
-                        }
-                        tightened_appended = true;
-                    }
-                    for (vars, cut_rhs) in fresh {
-                        w.add_constraint(
-                            LinearExpr::from_terms(vars.iter().map(|v| (*v, 1.0))),
-                            Cmp::Le,
-                            cut_rhs,
-                        );
-                        stats.cuts_added += 1;
-                    }
-                    let st = state.take().expect("cut loop requires a state");
+                    stats.cuts_added += pre.tightened.len();
                     let r = self.lp.resolve_appended_owned(w, st, &[]);
                     stats.cut_pivots += r.pivots;
                     stats.lp_pivots += r.pivots;
@@ -858,25 +720,17 @@ impl BranchBound {
                             relaxed = s;
                             state = r.state;
                         }
-                        SimplexOutcome::Infeasible | SimplexOutcome::Unbounded => {
-                            // Cuts never exclude an integer point, so an
-                            // infeasible cut LP proves this subtree holds no
-                            // integer solution.
-                            subtree_done = true;
-                            break;
-                        }
+                        // The tightened rows keep every integer point, so an
+                        // infeasible repaired root proves there is none.
+                        SimplexOutcome::Infeasible | SimplexOutcome::Unbounded => continue,
                         SimplexOutcome::IterationLimit => {
                             stats.lp_iteration_limited += 1;
-                            subtree_done = true;
-                            break;
+                            continue;
                         }
                         SimplexOutcome::InvalidModel(why) => {
                             return Err(fail(stats, SolveError::InvalidModel(why)));
                         }
                     }
-                }
-                if subtree_done {
-                    continue;
                 }
             }
 
@@ -885,7 +739,7 @@ impl BranchBound {
             // massively degenerate, and exploring equal-bound nodes can only
             // rediscover equally good solutions at exponential cost.
             if let Some(best) = &incumbent {
-                let margin = self.tolerance * best.objective.abs().max(1.0);
+                let margin = TOLERANCE * best.objective.abs().max(1.0);
                 let improves = problem.is_better(relaxed.objective, best.objective)
                     && (relaxed.objective - best.objective).abs() > margin;
                 if !improves {
@@ -901,7 +755,7 @@ impl BranchBound {
             let mut choice: Option<(Var, f64, f64)> = None;
             for &v in &binaries {
                 let val = relaxed.value(v);
-                if (val - val.round()).abs() <= self.tolerance {
+                if (val - val.round()).abs() <= TOLERANCE {
                     continue;
                 }
                 let score = pc.score(v.index(), val);
@@ -950,8 +804,10 @@ impl BranchBound {
                     let mut far = node.fixings.clone();
                     far.push((v, other));
                     seq += 1;
-                    open.push(
-                        Node {
+                    open.push(OpenNode {
+                        key: key_sign * bound,
+                        seq,
+                        node: Node {
                             fixings: far,
                             parent_state: state.clone(),
                             bound,
@@ -962,9 +818,7 @@ impl BranchBound {
                                 up: other > 0.5,
                             }),
                         },
-                        key_sign * bound,
-                        seq,
-                    );
+                    });
                     let mut near = node.fixings;
                     near.push((v, rounded));
                     dive = Some(Node {
@@ -1028,6 +882,7 @@ mod tests {
     use super::*;
     use crate::expr::LinearExpr;
     use crate::problem::{Cmp, Sense};
+    use crate::ExhaustiveSolver;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-5, "{a} vs {b}");
@@ -1444,16 +1299,13 @@ mod tests {
     }
 
     #[test]
-    fn best_bound_and_depth_first_agree_on_the_optimum() {
+    fn branching_instance_matches_the_exhaustive_optimum() {
         let p = branching_instance();
-        let best = BranchBound::new();
-        let dfs = BranchBound {
-            node_selection: NodeSelection::DepthFirst,
-            ..BranchBound::default()
-        };
-        let a = best.solve(&p).unwrap();
-        let b = dfs.solve(&p).unwrap();
-        assert_close(a.objective, b.objective);
+        let (sol, stats) = BranchBound::new().solve_with_stats(&p).unwrap();
+        let exact = ExhaustiveSolver::new().solve(&p).unwrap();
+        assert_close(sol.objective, exact.objective);
+        assert!(p.is_feasible(&sol.values, 1e-6));
+        assert!(stats.nodes_explored > 1, "the instance must branch");
     }
 
     #[test]
@@ -1473,13 +1325,8 @@ mod tests {
             xs.iter().copied().zip(values.iter().copied()),
         ));
         let (sol, stats) = BranchBound::new().solve_with_stats(&p).unwrap();
-        let plain = BranchBound {
-            presolve: false,
-            cuts: false,
-            ..BranchBound::default()
-        };
-        let bare = plain.solve(&p).unwrap();
-        assert_close(sol.objective, bare.objective);
+        let exact = ExhaustiveSolver::new().solve(&p).unwrap();
+        assert_close(sol.objective, exact.objective);
         assert!(!sol.is_set(xs[0]));
         assert!(stats.presolve_fixed >= 1, "the overflow fixing is reported");
     }
@@ -1509,24 +1356,36 @@ mod tests {
         assert_eq!(disabled.chain_cap(), None);
     }
 
+    /// Precondition of the fallback tests: presolve neither fixes a variable
+    /// nor appends a row, so the search is the bare tree over the caller's
+    /// rows.
+    fn assert_presolve_idle(stats: &BranchBoundStats) {
+        assert!(
+            stats.presolve_fixed == 0 && stats.cuts_added == 0,
+            "presolve must leave the instance alone: {stats:?}"
+        );
+    }
+
     #[test]
     fn aborted_chain_fallback_reports_only_the_final_root_pivots() {
         // Regression: the fallback used to *add* the aborted attempt's root
         // pivots onto the retry's, so root_pivots described no real root.
-        // Cuts and presolve are off so the fractional root guarantees the
-        // tree needs a second node and the cap of 1 forces the abort.
+        // Presolve finds nothing on this instance, so the fractional root
+        // guarantees the tree needs a second node and the cap of 1 forces
+        // the abort.
         let mut p = branching_instance();
         let solver = BranchBound {
             chain_fallback_nodes: 1,
-            cuts: false,
-            presolve: false,
             ..BranchBound::default()
         };
         let first = solver.solve_chained(&p, None, None).unwrap();
+        assert_presolve_idle(&first.stats);
         let root = first.root_state.expect("root state");
         p.set_rhs(0, 12.0).unwrap();
         let chained = solver.solve_chained(&p, Some(&root), None).unwrap();
         let plain = solver.solve_chained(&p, None, None).unwrap();
+        assert_presolve_idle(&chained.stats);
+        assert_presolve_idle(&plain.stats);
         assert_close(chained.solution.objective, plain.solution.objective);
         assert_eq!(
             chained.stats.root_pivots, plain.stats.root_pivots,
@@ -1544,11 +1403,10 @@ mod tests {
         p.set_rhs(0, 12.0).unwrap();
         let solver = BranchBound {
             chain_fallback_nodes: 3,
-            cuts: false,
-            presolve: false,
             ..BranchBound::default()
         };
         let first = solver.solve_chained(&p, None, None).unwrap();
+        assert_presolve_idle(&first.stats);
         let root = first.root_state.clone().expect("root state");
         let seed = first.solution.clone();
         // Relaxing 12 → 17 keeps the seed feasible; with a cap of 3 the
@@ -1557,9 +1415,11 @@ mod tests {
         // keep reporting the *caller's* seed either way.
         p.set_rhs(0, 17.0).unwrap();
         let seeded = solver.solve_chained(&p, Some(&root), Some(&seed)).unwrap();
+        assert_presolve_idle(&seeded.stats);
         assert!(seeded.stats.seeded, "the caller's seed survives a fallback");
         assert!(seeded.stats.wall_ms > 0.0);
         let unseeded = solver.solve_chained(&p, Some(&root), None).unwrap();
+        assert_presolve_idle(&unseeded.stats);
         assert!(
             !unseeded.stats.seeded,
             "an internal re-seed must not report as caller-seeded"

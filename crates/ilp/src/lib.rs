@@ -9,9 +9,11 @@
 //!   variables ([`problem`]),
 //! * a dense **bounded-variable simplex** solver for the LP relaxation —
 //!   variable bounds live in the ratio test, not in extra rows ([`simplex`]),
-//! * a **branch-and-bound** 0-1 ILP solver built on top of it, which
-//!   warm-starts every child node with the dual simplex from the parent's
-//!   optimal basis ([`branch_bound`], [`basis`]),
+//! * a **branch-and-bound** 0-1 ILP solver built on top of it — one fixed
+//!   search: best-bound order with plunging, pseudo-cost branching, and a
+//!   knapsack presolve that always runs — which warm-starts every child
+//!   node with the dual simplex from the parent's optimal basis
+//!   ([`branch_bound`], [`basis`]),
 //! * an **exhaustive** enumerator for small instances, used both to validate
 //!   branch-and-bound in tests and to generate the full trade-off space of
 //!   Figure 6 ([`exhaustive`]), and
@@ -40,17 +42,17 @@
 
 pub mod basis;
 pub mod branch_bound;
-pub(crate) mod cuts;
 pub mod exhaustive;
 pub mod expr;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod greedy;
+pub(crate) mod presolve;
 pub mod problem;
 pub mod simplex;
 
 pub use basis::{Basis, LpState};
-pub use branch_bound::{BranchBound, BranchBoundStats, ChainedSolve, NodeSelection};
+pub use branch_bound::{BranchBound, BranchBoundStats, ChainedSolve};
 pub use exhaustive::ExhaustiveSolver;
 pub use expr::{LinearExpr, Var};
 #[cfg(feature = "fault-injection")]

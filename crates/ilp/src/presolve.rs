@@ -1,42 +1,33 @@
-//! Knapsack-row analysis for the placement models: presolve and cover cuts.
+//! Knapsack presolve for the placement models.
 //!
 //! The placement ILP's budget rows (`Σ S_b·r_b ≤ R_spare` and the time-limit
-//! row) are knapsack constraints over binaries, which makes two classic MIP
-//! techniques cheap and strong here:
+//! row) are knapsack constraints over binaries, which makes presolve cheap
+//! and strong here.  At the current budgets some blocks are *trivially*
+//! flash-resident (their size alone exceeds a budget row's right-hand side,
+//! so `x_j = 0` in every feasible placement) or trivially RAM-resident
+//! (every knapsack row they appear in is redundant, so only the objective
+//! decides them).  Fixing those variables before the tree starts shrinks
+//! every relaxation.  On top of the fixings, *coefficient tightening*
+//! produces an integer-equivalent but LP-tighter copy of a knapsack row:
+//! when `M − a_j < b` (with `M` the row's maximum activity), the row is
+//! slack for every 0-1 point with `x_j = 0`, so both `a_j` and `b` can be
+//! reduced by `δ_j = b − (M − a_j)` without cutting any integer point.  The
+//! per-variable deltas are invariant under sequential application (each
+//! application lowers `b` and `M` by the same `δ`), so one batch pass
+//! computes the fully tightened row.
 //!
-//! * **Presolve** — at the current budgets some blocks are *trivially*
-//!   flash-resident (their size alone exceeds a budget row's right-hand
-//!   side, so `x_j = 0` in every feasible placement) or trivially
-//!   RAM-resident (every knapsack row they appear in is redundant, so only
-//!   the objective decides them).  Fixing those variables before the tree
-//!   starts shrinks every relaxation.  On top of the fixings, *coefficient
-//!   tightening* produces an integer-equivalent but LP-tighter copy of a
-//!   knapsack row: when `M − a_j < b` (with `M` the row's maximum activity),
-//!   the row is slack for every 0-1 point with `x_j = 0`, so both `a_j` and
-//!   `b` can be reduced by `δ_j = b − (M − a_j)` without cutting any integer
-//!   point.  The per-variable deltas are invariant under sequential
-//!   application (each application lowers `b` and `M` by the same `δ`), so
-//!   one batch pass computes the fully tightened row.
-//! * **Cover cuts** — a set `C` of items with `Σ_C a_j > b` cannot all be
-//!   chosen, so `Σ_C x_j ≤ |C| − 1` is valid for the integer hull; when the
-//!   LP relaxation picks fractionally more than `|C| − 1` of them the
-//!   inequality cuts the fractional point off.  Separation over a knapsack
-//!   row is a greedy scan, and the simple *extension* lifting
-//!   `E(C) = C ∪ {j : a_j ≥ max_C a_i}` strengthens the cut for free
-//!   (any `|C|`-subset of `E(C)` weighs at least `Σ_C a_j > b`).
-//!
-//! Everything here is **budget-relative**: fixings, tightened rows and cover
-//! cuts are valid only at the right-hand sides they were derived from, so
-//! the branch-and-bound applies them to a solve-local copy of the problem
-//! and re-derives them at every sweep point — the caller's [`Problem`] and
-//! its row indices are never disturbed, which is what keeps
+//! Everything here is **budget-relative**: fixings and tightened rows are
+//! valid only at the right-hand sides they were derived from, so the
+//! branch-and-bound applies them to a solve-local copy of the problem and
+//! re-derives them at every sweep point — the caller's [`Problem`] and its
+//! row indices are never disturbed, which is what keeps
 //! `set_rhs`/`resolve_with_rhs` chaining working across sweep points.
 
 use crate::expr::{LinearExpr, Var};
 use crate::problem::{Cmp, Problem, Sense, VarKind};
 
 /// A constraint row of the form `Σ a_j·x_j ≤ b` with every `x_j` binary and
-/// every `a_j > 0` — the shape presolve and cover separation understand.
+/// every `a_j > 0` — the shape presolve understands.
 ///
 /// The right-hand side is *not* stored: it is read from the problem at use
 /// time, because frontier sweeps mutate it in place between solves.
@@ -242,103 +233,6 @@ pub(crate) fn presolve(problem: &Problem, knap: &[KnapsackRow], tol: f64) -> Pre
     out
 }
 
-/// Separate a lifted minimal cover cut from one knapsack row against a
-/// fractional LP point.
-///
-/// Returns the cut `Σ_{j ∈ E(C)} x_j ≤ |C| − 1` as `(vars, rhs)` when a
-/// cover violated by more than `threshold` exists, `None` otherwise.
-///
-/// The greedy order is ascending `(1 − x*_j)/a_j` — items that are nearly
-/// chosen and heavy enter the cover first, which maximizes the chance the
-/// resulting cover is violated.  The cover is then *minimalized* (dropping
-/// an item both shrinks `|C| − 1` by one and the left-hand side by
-/// `x*_j ≤ 1`, so every drop weakly increases violation) and extended with
-/// all items at least as heavy as the cover's heaviest member.
-pub(crate) fn separate_cover(
-    terms: &[(Var, f64)],
-    rhs: f64,
-    values: &[f64],
-    threshold: f64,
-) -> Option<(Vec<Var>, f64)> {
-    let total: f64 = terms.iter().map(|&(_, a)| a).sum();
-    if total <= rhs {
-        return None; // row is redundant, no cover exists
-    }
-
-    // Greedy cover construction.
-    let mut order: Vec<usize> = (0..terms.len()).collect();
-    let score = |i: usize| {
-        let (v, a) = terms[i];
-        let x = values
-            .get(v.index())
-            .copied()
-            .unwrap_or(0.0)
-            .clamp(0.0, 1.0);
-        (1.0 - x) / a
-    };
-    order.sort_by(|&i, &j| {
-        score(i)
-            .partial_cmp(&score(j))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut cover: Vec<usize> = Vec::new();
-    let mut weight = 0.0;
-    for &i in &order {
-        cover.push(i);
-        weight += terms[i].1;
-        if weight > rhs + threshold {
-            break;
-        }
-    }
-    if weight <= rhs + threshold {
-        return None;
-    }
-
-    // Minimalize: drop items while the remainder still overflows, starting
-    // from the smallest LP value (largest violation gain).
-    cover.sort_by(|&i, &j| {
-        let xi = values.get(terms[i].0.index()).copied().unwrap_or(0.0);
-        let xj = values.get(terms[j].0.index()).copied().unwrap_or(0.0);
-        xi.partial_cmp(&xj).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut keep = vec![true; cover.len()];
-    for (pos, &i) in cover.iter().enumerate() {
-        if weight - terms[i].1 > rhs + threshold {
-            keep[pos] = false;
-            weight -= terms[i].1;
-        }
-    }
-    let cover: Vec<usize> = cover
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(&i, _)| i)
-        .collect();
-
-    // Violation check on the minimal cover.
-    let cut_rhs = cover.len() as f64 - 1.0;
-    let lhs: f64 = cover
-        .iter()
-        .map(|&i| values.get(terms[i].0.index()).copied().unwrap_or(0.0))
-        .sum();
-    if lhs <= cut_rhs + threshold {
-        return None;
-    }
-
-    // Extension lifting: any item at least as heavy as the cover's heaviest
-    // member joins the left-hand side without changing the right-hand side.
-    let a_max = cover.iter().map(|&i| terms[i].1).fold(0.0, f64::max);
-    let in_cover: std::collections::BTreeSet<usize> = cover.iter().copied().collect();
-    let mut cut_vars: Vec<Var> = cover.iter().map(|&i| terms[i].0).collect();
-    for (i, &(v, a)) in terms.iter().enumerate() {
-        if !in_cover.contains(&i) && a >= a_max {
-            cut_vars.push(v);
-        }
-    }
-    cut_vars.sort();
-    Some((cut_vars, cut_rhs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,54 +379,5 @@ mod tests {
                 "integer point {values:?} classified differently"
             );
         }
-    }
-
-    #[test]
-    fn cover_separation_finds_a_violated_lifted_cover() {
-        // Knapsack 4x0 + 4x1 + 4x2 ≤ 9 with LP point (0.9, 0.9, 0.9):
-        // cover {0,1,2} has weight 12 > 9, lhs 2.7 > 2.
-        let terms = [(Var(0), 4.0), (Var(1), 4.0), (Var(2), 4.0)];
-        let values = [0.9, 0.9, 0.9];
-        let (vars, rhs) = separate_cover(&terms, 9.0, &values, 1e-4).expect("violated cover");
-        assert_eq!(vars, vec![Var(0), Var(1), Var(2)]);
-        assert!((rhs - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cover_separation_respects_violation_threshold() {
-        // Integral LP point: no violated cover exists.
-        let terms = [(Var(0), 4.0), (Var(1), 4.0), (Var(2), 4.0)];
-        let values = [1.0, 1.0, 0.0];
-        assert!(separate_cover(&terms, 9.0, &values, 1e-4).is_none());
-    }
-
-    #[test]
-    fn cover_extension_adds_heavier_items() {
-        // 5x0 + 3x1 + 3x2 + 6x3 ≤ 7, point (0.0, 0.9, 0.9, 0.2):
-        // minimal cover {1, 2, 3}? weight 12 > 7... but minimalization can
-        // drop x3 (12 − 6 = 6 ≤ 7 keeps it). Greedy order by (1−x)/a picks
-        // x1, x2 (score ≈ 0.033) then x3 (0.133): weight 12 > 7 → cover
-        // {1,2,3}; dropping x3 leaves 6 ≤ 7 so it stays; dropping x1 or x2
-        // leaves 9, 9 > 7 → minimal cover ends as a 2-element set plus x3.
-        let terms = [(Var(0), 5.0), (Var(1), 3.0), (Var(2), 3.0), (Var(3), 6.0)];
-        let values = [0.0, 0.9, 0.9, 0.2];
-        if let Some((vars, rhs)) = separate_cover(&terms, 7.0, &values, 1e-4) {
-            // Whatever minimal cover survives, the cut must not exclude the
-            // extension property: every var in the cut with weight below the
-            // heaviest cover member must itself be a cover member.
-            assert!(rhs >= 1.0);
-            assert!(!vars.is_empty());
-            // And it must be violated at the fractional point.
-            let lhs: f64 = vars.iter().map(|v| values[v.index()]).sum();
-            assert!(lhs > rhs + 1e-6);
-        } else {
-            panic!("expected a violated cover");
-        }
-    }
-
-    #[test]
-    fn redundant_row_yields_no_cover() {
-        let terms = [(Var(0), 1.0), (Var(1), 1.0)];
-        assert!(separate_cover(&terms, 5.0, &[0.9, 0.9], 1e-4).is_none());
     }
 }

@@ -1,10 +1,11 @@
-//! Property-based tests for the search-quality machinery: best-bound and
-//! depth-first node selection must return identical objectives on random
-//! placement-shaped instances, and the cover-cut/presolve-augmented solver
-//! must never cut off the true integer optimum.
+//! Property-based test for the branch-and-bound search: on random
+//! placement-shaped instances the default solver (best-bound order with
+//! plunging, pseudo-cost branching, presolve with tightened rows) must agree
+//! with exhaustive enumeration on feasibility and on the optimum, so neither
+//! the search order nor presolve can cut off the true integer optimum.
 
 use flashram_ilp::{
-    BranchBound, Cmp, ExhaustiveSolver, LinearExpr, NodeSelection, Problem, Sense, SolveError, Var,
+    BranchBound, Cmp, ExhaustiveSolver, LinearExpr, Problem, Sense, SolveError, Var,
 };
 use proptest::prelude::*;
 
@@ -44,7 +45,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn best_bound_and_depth_first_return_identical_objectives(
+    fn branch_and_bound_matches_exhaustive_search(
         values in prop::collection::vec(1u16..100, 1..10),
         weights in prop::collection::vec(1u16..50, 1..10),
         weights2 in prop::collection::vec(1u16..50, 1..10),
@@ -53,50 +54,16 @@ proptest! {
     ) {
         let n = values.len().min(weights.len()).min(weights2.len());
         let p = build_problem(&values[..n], &weights[..n], &weights2[..n], cap_frac, use_second);
-        let best = BranchBound::new().solve(&p);
-        let dfs = BranchBound {
-            node_selection: NodeSelection::DepthFirst,
-            ..BranchBound::default()
-        }.solve(&p);
-        match (best, dfs) {
-            (Ok(a), Ok(b)) => {
-                prop_assert!(p.is_feasible(&a.values, 1e-6), "best-bound returned infeasible point");
-                prop_assert!(p.is_feasible(&b.values, 1e-6), "depth-first returned infeasible point");
-                prop_assert!((a.objective - b.objective).abs() < 1e-5,
-                    "objectives differ: best-bound {} vs depth-first {}", a.objective, b.objective);
-            }
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (a, b) => prop_assert!(false, "order disagreement: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn cuts_and_presolve_never_cut_off_the_integer_optimum(
-        values in prop::collection::vec(1u16..100, 1..9),
-        weights in prop::collection::vec(1u16..50, 1..9),
-        weights2 in prop::collection::vec(1u16..50, 1..9),
-        cap_frac in 0.1f64..0.9,
-        use_second in any::<bool>(),
-    ) {
-        let n = values.len().min(weights.len()).min(weights2.len());
-        let p = build_problem(&values[..n], &weights[..n], &weights2[..n], cap_frac, use_second);
-        // Aggressive cut settings: if a cover cut or tightened row were ever
-        // invalid, this is where it would exclude the true optimum.
-        let cutting = BranchBound {
-            cut_depth: 4,
-            max_cuts: 64,
-            ..BranchBound::default()
-        };
         let exact = ExhaustiveSolver::new().solve(&p);
-        let cut = cutting.solve(&p);
-        match (exact, cut) {
-            (Ok(e), Ok(c)) => {
-                prop_assert!(p.is_feasible(&c.values, 1e-6), "cut-augmented solve returned infeasible point");
-                prop_assert!((e.objective - c.objective).abs() < 1e-5,
-                    "cuts changed the optimum: exhaustive {} vs cut-augmented {}", e.objective, c.objective);
+        let bb = BranchBound::new().solve(&p);
+        match (exact, bb) {
+            (Ok(e), Ok(b)) => {
+                prop_assert!(p.is_feasible(&b.values, 1e-6), "branch-and-bound returned infeasible point");
+                prop_assert!((e.objective - b.objective).abs() < 1e-5,
+                    "optimum differs: exhaustive {} vs branch-and-bound {}", e.objective, b.objective);
             }
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (e, c) => prop_assert!(false, "solver disagreement: {e:?} vs {c:?}"),
+            (e, b) => prop_assert!(false, "solver disagreement: {e:?} vs {b:?}"),
         }
     }
 }
