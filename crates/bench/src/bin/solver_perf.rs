@@ -22,7 +22,7 @@ fn main() {
     let (rows, errors) = solver_perf(&board, OptLevel::O2);
 
     println!(
-        "{:<16} {:>6} {:>5} {:>5} {:>5} | {:>6} {:>8} {:>9} {:>9} | {:>6} {:>8} {:>9}",
+        "{:<16} {:>6} {:>5} {:>5} {:>5} | {:>6} {:>8} {:>9} {:>6} {:>9} | {:>6} {:>8} {:>9}",
         "benchmark",
         "ram",
         "x_lim",
@@ -31,6 +31,7 @@ fn main() {
         "nodes",
         "pivots",
         "piv/warm",
+        "copies",
         "warm ms",
         "nodes",
         "pivots",
@@ -40,7 +41,7 @@ fn main() {
     for row in &rows {
         let per_warm = row.warm.pivots_per_warm_node();
         println!(
-            "{:<16} {:>6} {:>5} {:>5} {:>5} | {:>6} {:>8} {:>9} {:>9.2} | {:>6} {:>8} {:>9.2}",
+            "{:<16} {:>6} {:>5} {:>5} {:>5} | {:>6} {:>8} {:>9} {:>6} {:>9.2} | {:>6} {:>8} {:>9.2}",
             row.benchmark,
             row.r_spare,
             row.x_limit,
@@ -49,6 +50,7 @@ fn main() {
             row.warm.stats.nodes_explored,
             row.warm.stats.lp_pivots,
             per_warm.map_or_else(|| "-".to_string(), |p| format!("{p:.1}")),
+            row.warm.stats.snapshot_copies,
             row.warm.wall_ms,
             row.cold.stats.nodes_explored,
             row.cold.stats.lp_pivots,

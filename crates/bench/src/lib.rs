@@ -1320,6 +1320,7 @@ pub fn solver_perf_json(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> Strin
                 "\"lp_pivots\": {}, \"root_pivots\": {}, ",
                 "\"warm_solves\": {}, \"warm_pivots\": {}, ",
                 "\"cold_solves\": {}, \"cold_pivots\": {}, ",
+                "\"snapshot_copies\": {}, ",
                 "\"budget_exhausted\": {}, \"lp_iteration_limited\": {}, ",
                 "\"wall_ms\": {:.3}, \"objective\": {:.6}}}"
             ),
@@ -1331,6 +1332,7 @@ pub fn solver_perf_json(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> Strin
             r.stats.warm_pivots,
             r.stats.cold_solves,
             r.stats.cold_pivots,
+            r.stats.snapshot_copies,
             r.stats.budget_exhausted,
             r.stats.lp_iteration_limited,
             r.wall_ms,

@@ -97,6 +97,10 @@ pub struct BranchBoundStats {
     /// Rows appended to the solve-local problem: presolve's tightened
     /// knapsack copies, added once when the root relaxation is fractional.
     pub cuts_added: usize,
+    /// Warm-started nodes that had to copy their parent's tableau because
+    /// the sibling still shared it.  The sibling expanded last takes the
+    /// snapshot without copying.
+    pub snapshot_copies: usize,
     /// Variables fixed by the presolve pass before the tree started.
     pub presolve_fixed: usize,
     /// Wall-clock time of the solve in milliseconds.  After an abort and
@@ -320,6 +324,7 @@ fn merge_aborted_attempt(stats: &mut BranchBoundStats, aborted: &BranchBoundStat
     stats.warm_pivots += aborted.warm_pivots;
     stats.cut_pivots += aborted.cut_pivots;
     stats.cuts_added += aborted.cuts_added;
+    stats.snapshot_copies += aborted.snapshot_copies;
     stats.wall_ms += aborted.wall_ms;
     stats.time_limit_hit |= aborted.time_limit_hit;
     stats.injected |= aborted.injected;
@@ -643,7 +648,10 @@ impl BranchBound {
                         // (clone); the second child is the last user and
                         // takes the state without copying the tableau.
                         let last = *node.fixings.last().expect("warm node has a fixing");
-                        let state = Rc::try_unwrap(state).unwrap_or_else(|rc| (*rc).clone());
+                        let state = Rc::try_unwrap(state).unwrap_or_else(|shared| {
+                            stats.snapshot_copies += 1;
+                            (*shared).clone()
+                        });
                         stats.warm_solves += 1;
                         let r = self.lp.resolve_owned(cur, state, &[last]);
                         stats.warm_pivots += r.pivots;
@@ -1296,6 +1304,24 @@ mod tests {
             warm_per_node < cold_per_node,
             "warm {warm_per_node:.2} pivots/node vs cold {cold_per_node:.2}"
         );
+    }
+
+    #[test]
+    fn snapshot_copies_are_deterministic() {
+        // Which child copies a shared snapshot depends only on the search
+        // order, never on timing or on which buffers the allocator recycled.
+        let p = branching_instance();
+        let (_, first) = BranchBound::new().solve_with_stats(&p).unwrap();
+        let (_, second) = BranchBound::new().solve_with_stats(&p).unwrap();
+        assert_eq!(first.snapshot_copies, second.snapshot_copies);
+        assert!(first.snapshot_copies > 0, "the dive child shares its state");
+        assert!(first.snapshot_copies < first.warm_solves);
+        let cold = BranchBound {
+            warm_start: false,
+            ..BranchBound::default()
+        };
+        let (_, cstats) = cold.solve_with_stats(&p).unwrap();
+        assert_eq!(cstats.snapshot_copies, 0, "cold nodes copy nothing");
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! with Dantzig pricing and an anti-cycling fallback to Bland's rule that is
 //! triggered by *detected degeneracy* (a long run of zero-progress pivots)
 //! and resets whenever the objective moves, so a long phase 1 can never
-//! leave phase 2 stuck in slow Bland mode.
+//! leave phase 2 stuck in slow Bland mode.  The tableau `B⁻¹A` is one
+//! row-major buffer, and copies of it reuse recycled, already-mapped
+//! memory: branch-and-bound copies a snapshot at about two of every three
+//! nodes, and copying into fresh pages took 28–33% of its time (see
+//! [`crate::basis`]).
 //!
 //! Two entry points matter to callers:
 //!
@@ -23,7 +27,7 @@
 //!   from a previously solved state after tightening variable bounds, used
 //!   by branch-and-bound to warm-start child nodes.
 
-use crate::basis::LpState;
+use crate::basis::{LpState, Tableau};
 use crate::expr::Var;
 use crate::problem::{Cmp, Problem, Sense, Solution, VarKind};
 
@@ -246,7 +250,7 @@ impl SimplexSolver {
             if !st.is_basic(j) {
                 let delta = *val - old;
                 if delta != 0.0 {
-                    for (xb, row) in st.xb.iter_mut().zip(&st.a) {
+                    for (xb, row) in st.xb.iter_mut().zip(st.a.rows()) {
                         *xb -= row[j] * delta;
                     }
                 }
@@ -322,7 +326,7 @@ impl SimplexSolver {
                 let target = if to_upper { nup } else { nlo };
                 let delta = target - old;
                 if delta != 0.0 {
-                    for (xb, row) in st.xb.iter_mut().zip(&st.a) {
+                    for (xb, row) in st.xb.iter_mut().zip(st.a.rows()) {
                         *xb -= row[j] * delta;
                     }
                 }
@@ -346,7 +350,7 @@ impl SimplexSolver {
             }
             if delta != 0.0 {
                 let slack = st.n + row;
-                for (xb, a_row) in st.xb.iter_mut().zip(&st.a) {
+                for (xb, a_row) in st.xb.iter_mut().zip(st.a.rows()) {
                     *xb += delta * a_row[slack];
                 }
                 st.rhs[row] = c.rhs;
@@ -359,12 +363,11 @@ impl SimplexSolver {
     /// problem: apply the fixings, upgrade the state with the missing
     /// trailing rows (see `LpState::append_rows`), and dual-repair.
     ///
-    /// This is how branch-and-bound keeps warm-starting after cutting planes
-    /// are added mid-search: a node snapshotted before a cut existed is
-    /// expanded against the cut-augmented problem by appending the new rows
-    /// — each enters with its slack basic and zero reduced cost, so dual
-    /// feasibility survives and the dual simplex re-optimizes from the
-    /// parent basis instead of a cold two-phase solve.
+    /// Branch-and-bound calls this once per solve, at a fractional root, to
+    /// add presolve's tightened rows to a solve-local copy of the problem.
+    /// Each new row enters with its slack basic and zero reduced cost, so
+    /// dual feasibility survives and the dual simplex re-optimizes from the
+    /// root basis instead of a cold two-phase solve.
     pub fn resolve_appended_owned(
         &self,
         problem: &Problem,
@@ -460,7 +463,7 @@ impl SimplexSolver {
             // slack column *is* `B⁻¹·e_row` and the basic values shift by
             // `delta` times it.
             let slack = st.n + row;
-            for (xb, a_row) in st.xb.iter_mut().zip(&st.a) {
+            for (xb, a_row) in st.xb.iter_mut().zip(st.a.rows()) {
                 *xb += delta * a_row[slack];
             }
             st.rhs[row] = c.rhs;
@@ -509,16 +512,6 @@ impl SimplexSolver {
         let m = problem.num_constraints();
         let slack_start = n;
 
-        // Dense constraint rows over structural variables.
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-        for c in problem.constraints() {
-            let mut coeffs = vec![0.0; n];
-            for (v, k) in c.expr.terms() {
-                coeffs[v.index()] += k;
-            }
-            rows.push(coeffs);
-        }
-
         // Slack bounds per comparison operator: a·x + s = rhs with
         //   ≤ : s ∈ [0, ∞)      ≥ : s ∈ (−∞, 0]      = : s ∈ [0, 0].
         for c in problem.constraints() {
@@ -531,6 +524,18 @@ impl SimplexSolver {
             up.push(sup);
         }
 
+        // Constraint coefficients and unit slack columns, written straight
+        // into the tableau; artificial columns are inserted once their
+        // count is known.
+        let mut a = Tableau::zeroed(m, n + m);
+        for (i, c) in problem.constraints().iter().enumerate() {
+            let row = &mut a[i];
+            for (v, k) in c.expr.terms() {
+                row[v.index()] += k;
+            }
+            row[slack_start + i] = 1.0;
+        }
+
         // Start every structural variable nonbasic at its (finite) lower
         // bound and compute each row's residual; rows whose slack can hold
         // the residual start with the slack basic, the rest get an
@@ -538,9 +543,9 @@ impl SimplexSolver {
         let residuals: Vec<f64> = problem
             .constraints()
             .iter()
-            .zip(&rows)
-            .map(|(c, coeffs)| {
-                let dot: f64 = coeffs.iter().zip(&lo).map(|(k, l)| k * l).sum();
+            .zip(a.rows())
+            .map(|(c, row)| {
+                let dot: f64 = row[..n].iter().zip(&lo).map(|(k, l)| k * l).sum();
                 c.rhs - dot
             })
             .collect();
@@ -555,16 +560,14 @@ impl SimplexSolver {
         let num_art = needs_artificial.iter().filter(|b| **b).count();
         let artificial_start = n + m;
         let cols = artificial_start + num_art;
+        a.insert_zero_cols(artificial_start, num_art);
 
-        let mut a = vec![vec![0.0; cols]; m];
         let mut xb = vec![0.0; m];
         let mut basis = vec![0usize; m];
         let mut at_upper = vec![false; cols];
         let mut next_art = artificial_start;
-        for (i, coeffs) in rows.into_iter().enumerate() {
-            a[i][..n].copy_from_slice(&coeffs);
+        for i in 0..m {
             let s = slack_start + i;
-            a[i][s] = 1.0;
             if needs_artificial[i] {
                 // Park the slack at the bound nearest the residual and give
                 // the artificial the (positive) remainder.
@@ -805,7 +808,7 @@ impl SimplexSolver {
                 None => {
                     // Bound flip: the entering variable runs to its other
                     // bound; only the basic values move.
-                    for (xb, row) in st.xb.iter_mut().zip(&st.a) {
+                    for (xb, row) in st.xb.iter_mut().zip(st.a.rows()) {
                         *xb -= t * limit * row[enter];
                     }
                     st.at_upper[enter] = !st.at_upper[enter];
@@ -966,12 +969,11 @@ impl SimplexSolver {
         let pivot = st.a[row][enter];
         debug_assert!(pivot.abs() > self.tolerance);
         let inv = 1.0 / pivot;
-        for v in st.a[row].iter_mut() {
+        let (pivot_row, others) = st.a.split_row_mut(row);
+        for v in pivot_row.iter_mut() {
             *v *= inv;
         }
-        let (before, rest) = st.a.split_at_mut(row);
-        let (pivot_row, after) = rest.split_first_mut().expect("pivot row exists");
-        for other in before.iter_mut().chain(after.iter_mut()) {
+        for other in others {
             let factor = other[enter];
             if factor != 0.0 {
                 for (o, p) in other.iter_mut().zip(pivot_row.iter()) {
