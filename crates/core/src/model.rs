@@ -1,18 +1,22 @@
 //! The ILP formulation of the placement problem (Section 4.3).
 //!
-//! For every candidate block `b` the model has a binary variable `r_b`
-//! (block placed in RAM), a binary `i_b` (block needs its terminator
-//! rewritten to a long-range form) and a linearization variable
-//! `z_b = r_b · i_b`.  The objective is the total energy
+//! Every candidate block `b` has three binaries: `r_b` (placed in RAM) and
+//! the instrumentation, split by the memory the block runs from: `f_b`
+//! (terminator rewritten to a long-range form while in flash) and `m_b`
+//! (while in RAM).  The objective is the total energy
 //!
 //! ```text
-//! Σ_b F_b · (C_b + T_b·i_b + L_b·r_b) · M(b)     with M(b) = E_flash or E_ram,
+//! Σ_b F_b·[C_b·E_flash + (C_b·Δ + D_b·E_ram)·r_b + T_b·E_flash·f_b + T_b·E_ram·m_b]
 //! ```
 //!
-//! expanded and linearized; the constraints are the RAM budget (Eq. 7) and
-//! the execution-time bound (Eq. 9), plus the edge constraints that force
-//! `i_b` to 1 whenever `b` and one of its successors sit in different
-//! memories (Eq. 5).
+//! with `Δ = E_ram − E_flash`.  Pricing each side separately needs no
+//! product `r_b·i_b` and so no linearization rows.  The constraints are the
+//! RAM budget (Eq. 7), the execution-time bound (Eq. 9) and Eq. 5 as two
+//! directed rows per edge `b → s`: `m_b ≥ r_b − r_s` and `f_b ≥ r_s − r_b`.
+//! With nonnegative power coefficients some optimum holds `f_b` and `m_b`
+//! at these lower bounds, so `i_b = f_b + m_b` is the paper's
+//! instrumentation variable and the relaxation is at least as tight as the
+//! product form's.
 
 use std::collections::BTreeMap;
 
@@ -56,10 +60,12 @@ impl Default for ModelConfig {
 pub struct BlockVars {
     /// `r_b`: 1 when the block is placed in RAM.
     pub in_ram: Var,
-    /// `i_b`: 1 when the block's terminator must be instrumented.
-    pub instrumented: Var,
-    /// `z_b = r_b · i_b`.
-    pub both: Var,
+    /// `f_b`: 1 when the block's terminator is instrumented while the
+    /// block sits in flash.
+    pub instr_flash: Var,
+    /// `m_b`: 1 when the block's terminator is instrumented while the
+    /// block sits in RAM.
+    pub instr_ram: Var,
 }
 
 /// The built ILP together with its variable map.
@@ -93,21 +99,27 @@ pub struct PlacementModel {
 }
 
 impl PlacementModel {
-    /// Build the ILP from extracted block parameters.
+    /// Build the ILP from extracted block parameters.  Panics unless both
+    /// power coefficients are finite and nonnegative.
     pub fn build(params: &ProgramParams, config: &ModelConfig) -> PlacementModel {
+        let valid = |e: f64| e.is_finite() && e >= 0.0;
+        assert!(
+            valid(config.e_flash) && valid(config.e_ram),
+            "power coefficients must be finite and nonnegative: {config:?}"
+        );
         let mut problem = Problem::new(Sense::Minimize);
         let mut vars: BTreeMap<BlockRef, BlockVars> = BTreeMap::new();
 
         for r in params.block_refs() {
             let in_ram = problem.add_binary(format!("r_{r}"));
-            let instrumented = problem.add_binary(format!("i_{r}"));
-            let both = problem.add_binary(format!("z_{r}"));
+            let instr_flash = problem.add_binary(format!("f_{r}"));
+            let instr_ram = problem.add_binary(format!("m_{r}"));
             vars.insert(
                 r,
                 BlockVars {
                     in_ram,
-                    instrumented,
-                    both,
+                    instr_flash,
+                    instr_ram,
                 },
             );
         }
@@ -126,21 +138,22 @@ impl PlacementModel {
             // flash wait-state stalls folded into C_b.  On zero-wait parts
             // D_b = L_b exactly, bit-for-bit.
             let d = p.ram_delta_cycles();
-            // Energy: F·[C·Ef + (C·Δ + D·Er)·r + T·Ef·i + T·Δ·z]
+            // Energy: F·[C·Ef + (C·Δ + D·Er)·r + T·Ef·f + T·Er·m]
             objective.add_constant(f * c * config.e_flash);
             objective.add_term(v.in_ram, f * (c * delta + d * config.e_ram));
-            objective.add_term(v.instrumented, f * t * config.e_flash);
-            objective.add_term(v.both, f * t * delta);
-            // Time: F·(C + T·i + D·r)
+            objective.add_term(v.instr_flash, f * t * config.e_flash);
+            objective.add_term(v.instr_ram, f * t * config.e_ram);
+            // Time: F·(C + T·(f + m) + D·r)
             base_cycles += f * c;
             time_expr.add_constant(f * c);
-            time_expr.add_term(v.instrumented, f * t);
+            time_expr.add_term(v.instr_flash, f * t);
+            time_expr.add_term(v.instr_ram, f * t);
             time_expr.add_term(v.in_ram, f * d);
         }
         problem.set_objective(objective);
 
         // Eq. 5: instrumentation is forced when a block and a successor are
-        // in different memories: i_b ≥ r_b − r_s and i_b ≥ r_s − r_b.
+        // in different memories, on the side the block sits in.
         for (r, p) in &params.blocks {
             let v = vars[r];
             for succ in &p.successors {
@@ -154,20 +167,20 @@ impl PlacementModel {
                 if succ_ref == *r {
                     continue;
                 }
-                // i_b - r_b + r_s ≥ 0
+                // m_b - r_b + r_s ≥ 0
                 problem.add_constraint(
                     LinearExpr::from_terms([
-                        (v.instrumented, 1.0),
+                        (v.instr_ram, 1.0),
                         (v.in_ram, -1.0),
                         (sv.in_ram, 1.0),
                     ]),
                     Cmp::Ge,
                     0.0,
                 );
-                // i_b + r_b - r_s ≥ 0
+                // f_b + r_b - r_s ≥ 0
                 problem.add_constraint(
                     LinearExpr::from_terms([
-                        (v.instrumented, 1.0),
+                        (v.instr_flash, 1.0),
                         (v.in_ram, 1.0),
                         (sv.in_ram, -1.0),
                     ]),
@@ -175,22 +188,6 @@ impl PlacementModel {
                     0.0,
                 );
             }
-            // Linearization of z = r·i:  z ≤ r, z ≤ i, z ≥ r + i − 1.
-            problem.add_constraint(
-                LinearExpr::from_terms([(v.both, 1.0), (v.in_ram, -1.0)]),
-                Cmp::Le,
-                0.0,
-            );
-            problem.add_constraint(
-                LinearExpr::from_terms([(v.both, 1.0), (v.instrumented, -1.0)]),
-                Cmp::Le,
-                0.0,
-            );
-            problem.add_constraint(
-                LinearExpr::from_terms([(v.both, 1.0), (v.in_ram, -1.0), (v.instrumented, -1.0)]),
-                Cmp::Ge,
-                -1.0,
-            );
         }
 
         // Eq. 7: RAM budget.
@@ -198,7 +195,8 @@ impl PlacementModel {
         for (r, p) in &params.blocks {
             let v = vars[r];
             ram_expr.add_term(v.in_ram, p.size_bytes as f64);
-            ram_expr.add_term(v.instrumented, p.instr_bytes as f64);
+            ram_expr.add_term(v.instr_flash, p.instr_bytes as f64);
+            ram_expr.add_term(v.instr_ram, p.instr_bytes as f64);
         }
         let ram_row = problem.num_constraints();
         problem.add_constraint(ram_expr, Cmp::Le, config.r_spare as f64);
@@ -345,6 +343,7 @@ mod tests {
     use super::*;
     use crate::params::{extract_params, FrequencySource};
     use flashram_ilp::BranchBound;
+    use flashram_ir::BlockId;
     use flashram_minicc::{compile_program, OptLevel, SourceUnit};
 
     const SRC: &str = "
@@ -368,8 +367,35 @@ mod tests {
         let p = params();
         let model = PlacementModel::build(&p, &ModelConfig::default());
         assert_eq!(model.problem.num_vars(), 3 * p.blocks.len());
-        assert!(model.problem.num_constraints() >= p.blocks.len() * 3 + 2);
+        // Two Eq. 5 rows per intra-model edge to another block, plus the RAM
+        // and time rows: no linearization rows.
+        let edges: usize = p
+            .blocks
+            .iter()
+            .map(|(r, bp)| {
+                let in_model = |s: &&BlockId| {
+                    let sr = BlockRef {
+                        func: r.func,
+                        block: **s,
+                    };
+                    sr != *r && p.blocks.contains_key(&sr)
+                };
+                bp.successors.iter().filter(in_model).count()
+            })
+            .sum();
+        assert!(edges > 0);
+        assert_eq!(model.problem.num_constraints(), 2 * edges + 2);
         assert!(model.problem.check().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "power coefficients must be finite and nonnegative")]
+    fn negative_power_coefficients_are_rejected() {
+        let config = ModelConfig {
+            e_ram: -1.0,
+            ..ModelConfig::default()
+        };
+        PlacementModel::build(&params(), &config);
     }
 
     #[test]

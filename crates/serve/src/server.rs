@@ -523,6 +523,20 @@ impl PlacementServer {
         config: ServerConfig,
         #[cfg(feature = "fault-injection")] plan: Option<FaultPlan>,
     ) -> PlacementServer {
+        let mut server = PlacementServer::unstarted(
+            config,
+            #[cfg(feature = "fault-injection")]
+            plan,
+        );
+        server.start_threads();
+        server
+    }
+
+    /// The server's shared state, with no thread started yet.
+    fn unstarted(
+        config: ServerConfig,
+        #[cfg(feature = "fault-injection")] plan: Option<FaultPlan>,
+    ) -> PlacementServer {
         let shared = Arc::new(Shared {
             cfg: config,
             state: Mutex::new(State {
@@ -547,21 +561,26 @@ impl PlacementServer {
             #[cfg(feature = "fault-injection")]
             fault: plan,
         });
-        for index in 0..config.workers.max(1) {
-            spawn_worker(&shared, Arc::new(WorkerSlot::new(index)));
+        PlacementServer {
+            shared,
+            monitor: None,
+            finished: false,
         }
-        let monitor = config.watchdog.map(|deadline| {
-            let shared = Arc::clone(&shared);
+    }
+
+    /// Spawn the worker threads and, when configured, the watchdog.
+    fn start_threads(&mut self) {
+        let config = &self.shared.cfg;
+        for index in 0..config.workers.max(1) {
+            spawn_worker(&self.shared, Arc::new(WorkerSlot::new(index)));
+        }
+        self.monitor = config.watchdog.map(|deadline| {
+            let shared = Arc::clone(&self.shared);
             std::thread::Builder::new()
                 .name("placement-watchdog".to_string())
                 .spawn(move || monitor_loop(&shared, deadline))
                 .expect("spawning the watchdog thread")
         });
-        PlacementServer {
-            shared,
-            monitor,
-            finished: false,
-        }
     }
 
     /// Register (or re-register) `name`.  Re-registering with different
@@ -1283,9 +1302,20 @@ mod tests {
         server
     }
 
-    /// Poison the state mutex by panicking while holding it, optionally
-    /// corrupting the bookkeeping first.
-    fn poison_state(server: &PlacementServer, corrupt: bool) {
+    /// A one-worker server for `tiny` whose state mutex was poisoned by a
+    /// panic while held, optionally after corrupting the bookkeeping.  The
+    /// worker starts only once the poison is confirmed: a live worker could
+    /// otherwise take the lock first and repair it.
+    fn poisoned_server(corrupt: bool) -> PlacementServer {
+        let mut server = PlacementServer::unstarted(
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            #[cfg(feature = "fault-injection")]
+            None,
+        );
+        server.register_program("tiny", tiny_program());
         let shared = Arc::clone(&server.shared);
         let _ = std::thread::spawn(move || {
             let mut st = shared.state.lock().unwrap();
@@ -1296,12 +1326,13 @@ mod tests {
         })
         .join();
         assert!(server.shared.state.is_poisoned());
+        server.start_threads();
+        server
     }
 
     #[test]
     fn consistent_poison_is_repaired_and_the_server_keeps_serving() {
-        let server = small_server();
-        poison_state(&server, false);
+        let server = poisoned_server(false);
         // The next lock clears the poison and, the state being consistent,
         // the server continues: a full solve round-trip still works.
         let response = server
@@ -1316,8 +1347,7 @@ mod tests {
 
     #[test]
     fn corrupted_poison_drains_terminally_without_leaking() {
-        let server = small_server();
-        poison_state(&server, true);
+        let server = poisoned_server(true);
         // The corrupted bookkeeping (queued ≠ pending) forces the terminal
         // drain: new admissions are refused...
         let err = server
